@@ -124,8 +124,8 @@ main()
     for (const Row &row : rows) {
         bool both_axes_win = false;
         for (size_t t = 0; t < kThresholds.size(); ++t) {
-            std::string at =
-                "@" + std::to_string(static_cast<int>(kThresholds[t]));
+            std::string at = "@";
+            at += std::to_string(static_cast<int>(kThresholds[t]));
             emitResult("fig_5_3_5_4", row.name + "/d_correct" + at,
                        row.d_correct[t], std::nullopt, "%");
             emitResult("fig_5_3_5_4", row.name + "/d_incorrect" + at,

@@ -77,8 +77,8 @@ main()
 
     const double paper_avg[] = {24.0, 32.0, 35.0, 39.0, 47.0};
     for (size_t t = 0; t < kThresholds.size(); ++t) {
-        std::string at =
-            "@" + std::to_string(static_cast<int>(kThresholds[t]));
+        std::string at = "@";
+        at += std::to_string(static_cast<int>(kThresholds[t]));
         for (size_t i = 0; i < workloads.size(); ++i)
             emitResult("table_5_1",
                        std::string(workloads[i]->name()) + at,

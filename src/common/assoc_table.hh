@@ -49,6 +49,8 @@ class AssocTable
                          " assoc=", associativity);
         }
         ways_.assign(numSets_ * assoc_, Way{});
+        if ((numSets_ & (numSets_ - 1)) == 0)
+            setMask_ = numSets_ - 1;
     }
 
     /**
@@ -186,6 +188,10 @@ class AssocTable
     size_t
     setIndex(uint64_t addr) const
     {
+        // The paper's geometries have power-of-two set counts: mask
+        // instead of dividing on every probe.
+        if (setMask_ != kNoMask)
+            return static_cast<size_t>(addr & setMask_);
         return static_cast<size_t>(addr % numSets_);
     }
 
@@ -195,8 +201,11 @@ class AssocTable
         set[w].lru = ++lruClock_;
     }
 
+    static constexpr uint64_t kNoMask = ~uint64_t(0);
+
     size_t assoc_;
     size_t numSets_;
+    uint64_t setMask_ = kNoMask;  ///< numSets_ - 1 when a power of two
     std::vector<Way> ways_;
     uint64_t lruClock_ = 0;
     uint64_t allocations_ = 0;

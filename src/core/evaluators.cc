@@ -15,7 +15,7 @@ void
 ClassificationEvaluator::step(uint64_t pc, int64_t value,
                               Directive directive)
 {
-    Prediction pred = predictor_.predict(pc, directive);
+    Prediction pred = predictor_.step(pc, value);
     bool correct = pred.hit && pred.value == value;
     if (pred.hit) {
         bool take = classifier_.shouldPredict(pc, directive);
@@ -30,7 +30,6 @@ ClassificationEvaluator::step(uint64_t pc, int64_t value,
         }
         classifier_.train(pc, correct);
     }
-    predictor_.update(pc, value, correct, directive, true);
 }
 
 void
@@ -71,18 +70,16 @@ FiniteTableEvaluator::step(uint64_t pc, int64_t value, Directive directive)
     if (candidate)
         ++stats_.candidates;
 
-    Prediction pred = predictor_.predict(pc, directive);
+    Prediction pred = predictor_.step(pc, value, candidate);
     bool use = policy_ == VpPolicy::Fsm
         ? pred.hit && pred.counterApproves
         : pred.hit && tagged;
-    bool correct = pred.hit && pred.value == value;
     if (use) {
-        if (correct)
+        if (pred.value == value)
             ++stats_.correctTaken;
         else
             ++stats_.incorrectTaken;
     }
-    predictor_.update(pc, value, correct, directive, candidate);
 }
 
 void
@@ -125,15 +122,13 @@ HybridTableEvaluator::step(uint64_t pc, int64_t value, Directive directive)
     if (tagged)
         ++stats_.candidates;
 
-    Prediction pred = predictor_.predict(pc, directive);
-    bool correct = pred.hit && pred.value == value;
+    Prediction pred = predictor_.step(pc, value, directive, tagged);
     if (pred.hit && tagged) {
-        if (correct)
+        if (pred.value == value)
             ++stats_.correctTaken;
         else
             ++stats_.incorrectTaken;
     }
-    predictor_.update(pc, value, correct, directive, tagged);
 }
 
 void

@@ -140,15 +140,20 @@ TraceRepository::quarantine(const std::string &path,
 }
 
 TraceRepository::AdoptOutcome
-TraceRepository::adoptCacheFile(Entry &entry, const std::string &path)
+TraceRepository::adoptCacheFile(Entry &entry, const std::string &path,
+                                uint64_t pcLimit)
 {
     VPPROF_TIMED_SPAN("trace.adopt");
     // Adopt a valid file captured by an earlier process; any
     // malformed file (truncated writer, foreign bytes, flipped bits,
-    // future format version) is a structured miss, never a crash or
-    // a short replay — it is quarantined and the trace re-captured.
+    // future format version, pcs outside the program) is a
+    // structured miss, never a crash or a short replay — it is
+    // quarantined and the trace re-captured. Trace files carry no
+    // program identity, so the pc bound is what keeps a file from
+    // another build out of the per-pc tables.
     TraceIoStatus status = TraceIoStatus::Ok;
-    auto reader = TraceFileReader::tryOpen(path, &status);
+    auto reader = TraceFileReader::tryOpen(path, &status,
+                                           TraceVerify::Full, pcLimit);
     if (!reader) {
         if (status == TraceIoStatus::IoError)
             return AdoptOutcome::Missing;
@@ -281,7 +286,8 @@ TraceRepository::produce(Entry &entry, const Workload &workload,
             VPPROF_TIMED_SPAN("trace.lock_wait");
             cacheLock.emplace(cachePath + ".lock");
         }
-        switch (adoptCacheFile(entry, cachePath)) {
+        switch (adoptCacheFile(entry, cachePath,
+                               workload.program().size())) {
           case AdoptOutcome::Adopted:
             return;
           case AdoptOutcome::Quarantined:
@@ -402,10 +408,11 @@ TraceRepository::replayFromDisk(Entry &entry, const Workload &workload,
     // fully verified by an earlier replay) opens HeaderOnly; anything
     // else pays the Full checksum pass exactly once.
     bool verified = entry.fileVerified.load(std::memory_order_acquire);
+    uint64_t pcLimit = workload.program().size();
     TraceIoStatus status = TraceIoStatus::Ok;
     auto reader = TraceFileReader::tryOpen(
         entry.path, &status,
-        verified ? TraceVerify::HeaderOnly : TraceVerify::Full);
+        verified ? TraceVerify::HeaderOnly : TraceVerify::Full, pcLimit);
     if (reader && !verified)
         entry.fileVerified.store(true, std::memory_order_release);
     if (reader && stream(*reader))
@@ -423,8 +430,8 @@ TraceRepository::replayFromDisk(Entry &entry, const Workload &workload,
                         " records; retrying from disk");
     // The retry always re-verifies in full: the failure says the file
     // is not what the earlier proof was about.
-    auto retry =
-        TraceFileReader::tryOpen(entry.path, &status, TraceVerify::Full);
+    auto retry = TraceFileReader::tryOpen(entry.path, &status,
+                                          TraceVerify::Full, pcLimit);
     if (retry && retry->skip(delivered) && stream(*retry))
         return;
     entry.fileVerified.store(false, std::memory_order_release);

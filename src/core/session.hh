@@ -200,7 +200,8 @@ class TraceRepository
     Entry &entryFor(const Workload &workload, size_t input_idx);
     void produce(Entry &entry, const Workload &workload,
                  size_t input_idx);
-    AdoptOutcome adoptCacheFile(Entry &entry, const std::string &path);
+    AdoptOutcome adoptCacheFile(Entry &entry, const std::string &path,
+                                uint64_t pcLimit);
     void quarantine(const std::string &path, TraceIoStatus status);
     bool writeTraceFile(const std::string &path,
                         const ColumnarTrace &trace);

@@ -1726,13 +1726,15 @@ DaemonServer::closeClient(Shard &shard, int fd, bool counted_idle)
         return;
     uint64_t serial = it->second.serial;
     shard.clientFdBySerial.erase(serial);
-    ::close(fd);
     shard.clients.erase(it);
     shard.clientCount.store(shard.clients.size(),
                             std::memory_order_relaxed);
+    // Count before closing: a client that sees EOF and then reads the
+    // stats must already find its disconnect counted.
     shard.counters.disconnects.add();
     if (counted_idle)
         shard.counters.idleCloses.add();
+    ::close(fd);
 
     // Cancel the departed client's QUEUED jobs: nobody is left to
     // read the answers, so running them only burns executor lanes

@@ -51,6 +51,28 @@ class HybridPredictor : public ValuePredictor
                 Directive hint = Directive::None,
                 bool allocate = true) override;
 
+    /**
+     * One record with a single probe of the steered table: predict(),
+     * then update() with `correct = hit && value == actual`.
+     */
+    Prediction
+    step(uint64_t pc, int64_t actual, Directive hint, bool allocate)
+    {
+        switch (hint) {
+          case Directive::Stride:
+            return stride_.step(pc, actual, allocate);
+          case Directive::LastValue:
+            return last_.step(pc, actual, allocate);
+          case Directive::None:
+            break;
+        }
+        // Untagged: use whichever table already tracks the pc (stride
+        // first), never allocating.
+        if (auto *entry = stride_.table_.lookup(pc))
+            return stride_.stepEntry(entry, pc, actual, false);
+        return last_.step(pc, actual, false);
+    }
+
     void reset() override;
 
     size_t occupancy() const override;

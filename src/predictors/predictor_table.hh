@@ -10,10 +10,10 @@
 #define VPPROF_PREDICTORS_PREDICTOR_TABLE_HH
 
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
+#include <memory>
 
 #include "common/assoc_table.hh"
+#include "common/pc_indexed.hh"
 
 namespace vpprof
 {
@@ -34,10 +34,9 @@ class PredictorTable
     PredictorTable(size_t num_entries, size_t associativity)
     {
         if (num_entries > 0)
-            finite_.emplace(num_entries, associativity);
+            finite_ = std::make_unique<AssocTable<Payload>>(num_entries,
+                                                            associativity);
     }
-
-    bool infinite() const { return !finite_.has_value(); }
 
     /** Find an existing entry or nullptr. */
     Payload *
@@ -45,29 +44,22 @@ class PredictorTable
     {
         if (finite_)
             return finite_->lookup(pc);
-        auto it = map_.find(pc);
-        return it == map_.end() ? nullptr : &it->second;
-    }
-
-    /** Const find without replacement side effects. */
-    const Payload *
-    peek(uint64_t pc) const
-    {
-        if (finite_)
-            return finite_->peek(pc);
-        auto it = map_.find(pc);
-        return it == map_.end() ? nullptr : &it->second;
+        Slot *slot = dense_.find(pc);
+        return slot && slot->valid ? &slot->payload : nullptr;
     }
 
     /** Find or create the entry for pc (evicting LRU when finite). */
     Payload &
-    allocate(uint64_t pc, bool *evicted = nullptr)
+    allocate(uint64_t pc)
     {
         if (finite_)
-            return finite_->allocate(pc, evicted);
-        if (evicted)
-            *evicted = false;
-        return map_[pc];
+            return finite_->allocate(pc);
+        Slot &slot = dense_.at(pc);
+        if (!slot.valid) {
+            slot.valid = true;
+            ++denseOccupancy_;
+        }
+        return slot.payload;
     }
 
     void
@@ -75,14 +67,14 @@ class PredictorTable
     {
         if (finite_)
             finite_->clear();
-        else
-            map_.clear();
+        dense_.clear();
+        denseOccupancy_ = 0;
     }
 
     size_t
     occupancy() const
     {
-        return finite_ ? finite_->occupancy() : map_.size();
+        return finite_ ? finite_->occupancy() : denseOccupancy_;
     }
 
     /** LRU evictions performed (0 for infinite tables). */
@@ -93,8 +85,15 @@ class PredictorTable
     }
 
   private:
-    std::optional<AssocTable<Payload>> finite_;
-    std::unordered_map<uint64_t, Payload> map_;
+    struct Slot
+    {
+        bool valid = false;
+        Payload payload{};
+    };
+
+    std::unique_ptr<AssocTable<Payload>> finite_;  ///< null: infinite
+    PcIndexed<Slot> dense_;
+    size_t denseOccupancy_ = 0;
 };
 
 } // namespace vpprof

@@ -12,12 +12,13 @@ SaturatingClassifier::SaturatingClassifier(unsigned bits, unsigned initial)
 SaturatingCounter &
 SaturatingClassifier::counterFor(uint64_t pc)
 {
-    auto it = counters_.find(pc);
-    if (it == counters_.end()) {
-        it = counters_.emplace(pc,
-                               SaturatingCounter(bits_, initial_)).first;
+    Slot &slot = counters_.at(pc);
+    if (!slot.valid) {
+        slot.valid = true;
+        slot.counter = SaturatingCounter(bits_, initial_);
+        ++tracked_;
     }
-    return it->second;
+    return slot.counter;
 }
 
 bool

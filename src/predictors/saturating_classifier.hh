@@ -9,8 +9,7 @@
 #ifndef VPPROF_PREDICTORS_SATURATING_CLASSIFIER_HH
 #define VPPROF_PREDICTORS_SATURATING_CLASSIFIER_HH
 
-#include <unordered_map>
-
+#include "common/pc_indexed.hh"
 #include "common/saturating_counter.hh"
 #include "predictors/classifier.hh"
 
@@ -41,17 +40,30 @@ class SaturatingClassifier : public Classifier
 
     void train(uint64_t pc, bool correct) override;
 
-    void reset() override { counters_.clear(); }
+    void
+    reset() override
+    {
+        counters_.clear();
+        tracked_ = 0;
+    }
 
     /** Number of distinct pcs tracked. */
-    size_t trackedInstructions() const { return counters_.size(); }
+    size_t trackedInstructions() const { return tracked_; }
 
   private:
+    /** A pc's counter; `valid` once the pc has been seen. */
+    struct Slot
+    {
+        bool valid = false;
+        SaturatingCounter counter{};
+    };
+
     SaturatingCounter &counterFor(uint64_t pc);
 
     unsigned bits_;
     unsigned initial_;
-    std::unordered_map<uint64_t, SaturatingCounter> counters_;
+    PcIndexed<Slot> counters_;
+    size_t tracked_ = 0;
 };
 
 } // namespace vpprof

@@ -25,6 +25,15 @@ ProfileCollector::ProfileCollector(std::string program_name)
 {
 }
 
+PcProfile &
+ProfileCollector::profileFor(uint64_t pc)
+{
+    PcProfile *&slot = slots_.at(pc);
+    if (slot == nullptr)
+        slot = &image_.at(pc);
+    return *slot;
+}
+
 void
 ProfileCollector::record(const TraceRecord &rec)
 {
@@ -32,11 +41,11 @@ ProfileCollector::record(const TraceRecord &rec)
         return;
     ++producersSeen_;
 
-    PcProfile &prof = image_.at(rec.pc);
+    PcProfile &prof = profileFor(rec.pc);
     prof.opClass = classOf(rec.op);
     ++prof.executions;
 
-    Prediction sp = stride_.predict(rec.pc);
+    Prediction sp = stride_.step(rec.pc, rec.value);
     if (sp.hit) {
         ++prof.attempts;
         if (sp.value == rec.value) {
@@ -45,15 +54,13 @@ ProfileCollector::record(const TraceRecord &rec)
                 ++prof.correctNonZeroStride;
         }
     }
-    stride_.update(rec.pc, rec.value, sp.hit && sp.value == rec.value);
 
-    Prediction lp = lastValue_.predict(rec.pc);
+    Prediction lp = lastValue_.step(rec.pc, rec.value);
     if (lp.hit) {
         ++prof.lastValueAttempts;
         if (lp.value == rec.value)
             ++prof.lastValueCorrect;
     }
-    lastValue_.update(rec.pc, rec.value, lp.hit && lp.value == rec.value);
 }
 
 ProfileImage
@@ -61,6 +68,7 @@ ProfileCollector::takeImage()
 {
     ProfileImage out = std::move(image_);
     image_ = ProfileImage(std::string(out.programName()));
+    slots_.clear();
     stride_.reset();
     lastValue_.reset();
     producersSeen_ = 0;

@@ -10,9 +10,9 @@
 #ifndef VPPROF_PROFILE_PROFILE_COLLECTOR_HH
 #define VPPROF_PROFILE_PROFILE_COLLECTOR_HH
 
-#include <memory>
 #include <string>
 
+#include "common/pc_indexed.hh"
 #include "predictors/last_value_predictor.hh"
 #include "predictors/stride_predictor.hh"
 #include "profile/profile_image.hh"
@@ -32,6 +32,10 @@ class ProfileCollector : public TraceSink
     /** @param program_name Name recorded into the produced image. */
     explicit ProfileCollector(std::string program_name);
 
+    /** Not copyable or movable: slots_ points into this image_. */
+    ProfileCollector(const ProfileCollector &) = delete;
+    ProfileCollector &operator=(const ProfileCollector &) = delete;
+
     void record(const TraceRecord &rec) override;
 
     /** The image accumulated so far. */
@@ -49,7 +53,15 @@ class ProfileCollector : public TraceSink
     uint64_t producersSeen() const { return producersSeen_; }
 
   private:
+    PcProfile &profileFor(uint64_t pc);
+
     ProfileImage image_;
+    /**
+     * Per-pc pointers into image_'s entries (map nodes never move), so
+     * a record reaches its PcProfile without a map lookup. A null slot
+     * is resolved through ProfileImage::at on first use.
+     */
+    PcIndexed<PcProfile *> slots_;
     StridePredictor stride_;
     LastValuePredictor lastValue_;
     uint64_t producersSeen_ = 0;

@@ -155,7 +155,7 @@ struct Parser
                   case 'r': out.push_back('\r'); break;
                   case 't': out.push_back('\t'); break;
                   case 'u': {
-                      unsigned cp;
+                      unsigned cp = 0;
                       if (!parseHex4(cp))
                           return false;
                       if (cp >= 0xD800 && cp <= 0xDBFF) {
@@ -164,7 +164,7 @@ struct Parser
                               cur[1] != 'u')
                               return fail("lone high surrogate");
                           cur += 2;
-                          unsigned lo;
+                          unsigned lo = 0;
                           if (!parseHex4(lo))
                               return false;
                           if (lo < 0xDC00 || lo > 0xDFFF)

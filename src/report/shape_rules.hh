@@ -1,7 +1,7 @@
 /**
  * @file
  * Declarative shape rules: the machine-checked form of the
- * EXPERIMENTS.md verdicts. A golden spec (golden/shape/*.json) lists
+ * EXPERIMENTS.md verdicts. A golden spec (a golden/shape/<bench>.json file) lists
  * rules over ResultRow cells; the engine evaluates them against the
  * RESULTS_<bench>.json files a bench run produced.
  *

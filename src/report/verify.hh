@@ -1,7 +1,7 @@
 /**
  * @file
  * The verify driver behind `vpprof_cli verify`: loads the golden
- * specs (golden/shape/*.json) and perf baselines
+ * specs (golden/shape/<bench>.json) and perf baselines
  * (golden/perf/BENCH_*.json), the RESULTS_*.json and BENCH_*.json a
  * bench run produced, evaluates every shape rule and the perf gate,
  * and renders a pass/fail report with per-rule diagnostics.

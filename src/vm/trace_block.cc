@@ -1,5 +1,6 @@
 #include "vm/trace_block.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -378,7 +379,7 @@ TraceBlockEncoder::flush(std::vector<uint8_t> &out)
 
 TraceBlockStatus
 probeTraceBlock(const uint8_t *data, size_t size, size_t *consumed,
-                uint32_t *count, bool verifyChecksum)
+                uint32_t *count, bool verifyChecksum, uint64_t *maxPc)
 {
     if (size < kTraceBlockHeaderBytes)
         return TraceBlockStatus::Truncated;
@@ -394,6 +395,24 @@ probeTraceBlock(const uint8_t *data, size_t size, size_t *consumed,
         sum = fnv1a(sum, data + kTraceBlockHeaderBytes, payloadBytes);
         if (sum != getU64(data + kOffChecksum))
             return TraceBlockStatus::ChecksumMismatch;
+    }
+    if (maxPc != nullptr) {
+        // The pc column leads the payload, behind the seq deltas of a
+        // non-contiguous block.
+        Cursor cur{data + kTraceBlockHeaderBytes,
+                   data + kTraceBlockHeaderBytes + payloadBytes};
+        if (flags & kFlagSeqExplicit)
+            for (uint32_t i = 0; i < n; ++i)
+                cur.varint();
+        uint64_t pc = 0;
+        uint64_t top = 0;
+        for (uint32_t i = 0; i < n; ++i) {
+            pc += unzigzag(cur.varint());
+            top = std::max(top, pc);
+        }
+        if (!cur.ok)
+            return TraceBlockStatus::Malformed;
+        *maxPc = top;
     }
     *consumed = kTraceBlockHeaderBytes + payloadBytes;
     *count = n;

@@ -171,11 +171,13 @@ TraceBlockStatus decodeTraceBlock(const uint8_t *data, size_t size,
 /**
  * Walk one block's framing without decoding its columns: validates
  * the header bounds (and the checksum when asked), returning the
- * block's record count and encoded size.
+ * block's record count and encoded size. With a non-null `maxPc` it
+ * also decodes the pc column alone and reports its largest pc.
  */
 TraceBlockStatus probeTraceBlock(const uint8_t *data, size_t size,
                                  size_t *consumed, uint32_t *count,
-                                 bool verifyChecksum);
+                                 bool verifyChecksum,
+                                 uint64_t *maxPc = nullptr);
 
 /**
  * A whole trace in encoded-block form: the resident representation of

@@ -102,6 +102,7 @@ traceIoStatusName(TraceIoStatus status)
       case TraceIoStatus::Truncated: return "truncated";
       case TraceIoStatus::TruncatedFile: return "truncated-file";
       case TraceIoStatus::ChecksumMismatch: return "checksum-mismatch";
+      case TraceIoStatus::PcOutOfRange: return "pc-out-of-range";
       case TraceIoStatus::WriteFailed: return "write-failed";
       case TraceIoStatus::NoSpace: return "no-space";
     }
@@ -436,15 +437,21 @@ TraceFileReader::mapBlocks(TraceVerify verify)
     // exactly what the header promises. A writer that died before
     // close() leaves a torn tail block — the distinct TruncatedFile
     // status, so quarantine logs name the real failure.
+    // A Full walk with a pc limit also bounds each block's pc column:
+    // block checksums prove the bytes intact, not that they belong to
+    // this program.
+    bool full = verify == TraceVerify::Full;
+    bool checkPcs = full && pcLimit_ != 0;
     size_t off = 0;
     uint64_t total = 0;
     uint64_t blocks = 0;
     while (off < payloadSize_) {
         size_t consumed = 0;
         uint32_t blockRecords = 0;
+        uint64_t maxPc = 0;
         switch (probeTraceBlock(payload_ + off, payloadSize_ - off,
-                                &consumed, &blockRecords,
-                                verify == TraceVerify::Full)) {
+                                &consumed, &blockRecords, full,
+                                checkPcs ? &maxPc : nullptr)) {
           case TraceBlockStatus::Ok:
             break;
           case TraceBlockStatus::Truncated:
@@ -460,6 +467,8 @@ TraceFileReader::mapBlocks(TraceVerify verify)
             // same integrity boundary as a bad checksum.
             return TraceIoStatus::ChecksumMismatch;
         }
+        if (checkPcs && maxPc >= pcLimit_)
+            return TraceIoStatus::PcOutOfRange;
         total += blockRecords;
         blocks += 1;
         off += consumed;
@@ -574,20 +583,22 @@ TraceFileReader::TraceFileReader(const std::string &path)
       case TraceIoStatus::ChecksumMismatch:
         vpprof_fatal("trace file checksum mismatch (",
                      traceIoStatusName(st), "): ", path);
+      case TraceIoStatus::PcOutOfRange:  // needs a tryOpen pc limit
       case TraceIoStatus::WriteFailed:
       case TraceIoStatus::NoSpace:
-        break;  // writer-side statuses; validate() never returns them
+        break;  // statuses a strict validate() never returns
     }
     vpprof_panic("unexpected trace validation status");
 }
 
 std::unique_ptr<TraceFileReader>
 TraceFileReader::tryOpen(const std::string &path, TraceIoStatus *status,
-                         TraceVerify verify)
+                         TraceVerify verify, uint64_t pcLimit)
 {
     std::unique_ptr<TraceFileReader> reader(
         new TraceFileReader(path, Unchecked{}));
     reader->strict_ = false;
+    reader->pcLimit_ = pcLimit;
     TraceIoStatus st = reader->validate(verify);
     if (status)
         *status = st;
@@ -663,6 +674,10 @@ TraceFileReader::next(TraceRecord &rec)
         return false;
     }
     decode(buf, rec);
+    if (pcLimit_ != 0 && rec.pc >= pcLimit_) {
+        fail(TraceIoStatus::PcOutOfRange);
+        return false;
+    }
     ++read_;
     return true;
 }

@@ -56,6 +56,7 @@ enum class TraceIoStatus
     Truncated,        ///< payload size disagrees with the header count
     TruncatedFile,    ///< v3 tail block torn off / file shorter than mapped
     ChecksumMismatch, ///< stored checksum does not match the payload
+    PcOutOfRange,     ///< a record's pc lies outside the program
     WriteFailed,      ///< a write or the commit rename failed
     NoSpace,          ///< the device is full (ENOSPC)
 };
@@ -203,11 +204,15 @@ class TraceFileReader
      * Open and validate a trace file without ever exiting.
      * @param[out] status Why the open failed (Ok on success).
      * @param verify How deep to validate (default: full checksum).
+     * @param pcLimit When non-zero, every record's pc must be below it
+     *        (the program size), else PcOutOfRange: v3 pc columns are
+     *        checked by the Full block walk here, v1/v2 records as
+     *        next() hands them out.
      * @return The reader, or nullptr when the file is unusable.
      */
     static std::unique_ptr<TraceFileReader>
     tryOpen(const std::string &path, TraceIoStatus *status = nullptr,
-            TraceVerify verify = TraceVerify::Full);
+            TraceVerify verify = TraceVerify::Full, uint64_t pcLimit = 0);
 
     /** Records the header promises. */
     uint64_t recordCount() const { return count_; }
@@ -287,6 +292,7 @@ class TraceFileReader
     uint64_t read_ = 0;
     char version_;
     bool strict_ = true;
+    uint64_t pcLimit_ = 0;             // 0: pcs unchecked
     TraceIoStatus status_ = TraceIoStatus::Ok;
 
     // v3 state: the mapped payload and the lazy block cursor.

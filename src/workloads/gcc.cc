@@ -367,25 +367,25 @@ buildGccProgram()
 
     b.label("eval_loop");
     for (int u = 0; u < 16; ++u)
-        eval_body("u" + std::to_string(u));
+        eval_body(std::string("u") + std::to_string(u));
     b.jmp("eval_loop");
     b.label("eval_end");
 
     b.label("fold_loop");
     for (int u = 0; u < 12; ++u)
-        fold_body("u" + std::to_string(u));
+        fold_body(std::string("u") + std::to_string(u));
     b.jmp("fold_loop");
     b.label("fold_end");
 
     b.label("live_loop");
     for (int u = 0; u < 12; ++u)
-        live_body("u" + std::to_string(u));
+        live_body(std::string("u") + std::to_string(u));
     b.jmp("live_loop");
     b.label("live_end");
 
     b.label("emit_loop");
     for (int u = 0; u < 12; ++u)
-        emit_body("u" + std::to_string(u));
+        emit_body(std::string("u") + std::to_string(u));
     b.jmp("emit_loop");
     b.label("emit_end");
 

@@ -156,7 +156,7 @@ buildPerlProgram()
 
     b.label("scan");
     for (int u = 0; u < 6; ++u)
-        scan_body("u" + std::to_string(u));
+        scan_body(std::string("u") + std::to_string(u));
     b.jmp("scan");
     b.label("scan_end");
 

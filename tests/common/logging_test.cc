@@ -80,9 +80,10 @@ TEST(LogLevel, ErrorLevelSuppressesWarnings)
         counterValue("log.warnings.suppressed");
     vpprof_warn("logging_test: must be suppressed");
     EXPECT_EQ(warningsEmitted(), before);
-    if (telemetry::kEnabled)
+    if (telemetry::kEnabled) {
         EXPECT_EQ(counterValue("log.warnings.suppressed"),
                   suppressed_before + 1);
+    }
 }
 
 TEST(LogLevel, EmittedWarningsCountIntoTelemetry)
@@ -90,9 +91,10 @@ TEST(LogLevel, EmittedWarningsCountIntoTelemetry)
     ScopedLogLevel loud(LogLevel::Warn);
     uint64_t emitted_before = counterValue("log.warnings.emitted");
     vpprof_warn("logging_test: counted warning");
-    if (telemetry::kEnabled)
+    if (telemetry::kEnabled) {
         EXPECT_EQ(counterValue("log.warnings.emitted"),
                   emitted_before + 1);
+    }
 }
 
 TEST(LogLevel, SuppressedWarnLimitedKeepsItsRateBudget)

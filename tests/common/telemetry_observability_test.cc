@@ -141,9 +141,11 @@ TEST(Prometheus, EmptySnapshotIsHeaderOnly)
     std::string text = prometheusText(MetricsSnapshot{});
     std::istringstream is(text);
     std::string line;
-    while (std::getline(is, line))
-        if (!line.empty())
+    while (std::getline(is, line)) {
+        if (!line.empty()) {
             EXPECT_EQ(line[0], '#') << line;
+        }
+    }
 }
 
 #if VPPROF_TELEMETRY_ENABLED

@@ -16,6 +16,7 @@
 #include "common/checksum.hh"
 #include "common/failpoint.hh"
 #include "core/session.hh"
+#include "predictors/profile_classifier.hh"
 
 namespace vpprof
 {
@@ -208,6 +209,121 @@ TEST_F(TraceV3Crash, V2CacheAdoptedByV3SessionUnderFaults)
     EXPECT_EQ(st.vmRuns, 0u);
     EXPECT_EQ(st.readRetries, 1u);
     EXPECT_EQ(st.regenerations, 0u);
+}
+
+/**
+ * Rewrite li's cache file in `format` with one producer's pc moved
+ * past the end of the program. The writer checksums what it writes,
+ * so only the pc bound can tell the file is foreign.
+ */
+void
+plantOutOfRangePc(const std::string &path, TraceFormat format)
+{
+    Session clean;
+    TraceFileWriter writer(path, format);
+    uint64_t producers = 0;
+    CallbackTraceSink sink([&](const TraceRecord &rec) {
+        TraceRecord out = rec;
+        if (rec.writesReg && ++producers == 5000)
+            out.pc = li().program().size() + 7;
+        writer.record(out);
+    });
+    clean.runTrace(li(), 0, &sink);
+    ASSERT_EQ(writer.close(), TraceIoStatus::Ok);
+}
+
+/** Profile, finite-table and ILP results of li.in0 in `session`. */
+struct CellResults
+{
+    ProfileImage profile;
+    FiniteTableStats finite;
+    IlpResult ilp;
+};
+
+CellResults
+cellResults(Session &session)
+{
+    CellResults out;
+    out.profile = session.collectProfile(li(), 0);
+    out.finite = session.evaluateFiniteTable(
+        li(), 0, li().program(), VpPolicy::Fsm, paperFiniteConfig(true));
+    out.ilp = session.evaluateIlp(li(), 0, li().program(), IlpConfig{},
+                                  VpPolicy::Fsm, paperFiniteConfig(true));
+    return out;
+}
+
+void
+expectSameResults(const CellResults &got, const CellResults &want)
+{
+    EXPECT_TRUE(got.profile == want.profile);
+    EXPECT_EQ(got.finite.correctTaken, want.finite.correctTaken);
+    EXPECT_EQ(got.finite.incorrectTaken, want.finite.incorrectTaken);
+    EXPECT_EQ(got.finite.evictions, want.finite.evictions);
+    EXPECT_EQ(got.ilp.cycles, want.ilp.cycles);
+    EXPECT_EQ(got.ilp.correctUsed, want.ilp.correctUsed);
+}
+
+TEST_F(TraceV3Crash, OutOfRangePcIsQuarantinedAndRegenerated)
+{
+    // A v3 file whose block checksums are valid but whose pc column
+    // runs past the program (a cache left by another build) is
+    // corrupt: quarantined at adoption and re-captured, never handed
+    // to a per-pc table or Program::at.
+    fs::create_directories(dir_);
+    plantOutOfRangePc(cacheFile(), TraceFormat::V3);
+    TraceIoStatus status = TraceIoStatus::Ok;
+    ASSERT_TRUE(TraceFileReader::tryOpen(cacheFile(), &status))
+        << "the planted file must pass its block checksums";
+    EXPECT_FALSE(TraceFileReader::tryOpen(cacheFile(), &status,
+                                          TraceVerify::Full,
+                                          li().program().size()));
+    EXPECT_EQ(status, TraceIoStatus::PcOutOfRange);
+
+    Session clean;
+    CellResults want = cellResults(clean);
+    Session session(cacheConfig());
+    expectSameResults(cellResults(session), want);
+    EXPECT_EQ(replayDigest(session, li(), 0), referenceDigest());
+    TraceRepoStats st = session.traces().stats();
+    EXPECT_EQ(st.corruptQuarantined, 1u);
+    EXPECT_EQ(st.regenerations, 1u);
+    EXPECT_EQ(st.vmRuns, 1u);
+    EXPECT_EQ(st.diskLoads, 0u);
+    EXPECT_TRUE(fs::exists(cacheFile() + ".bad"));
+
+    // The re-captured file is healthy: a fresh session adopts it.
+    Session adopt(cacheConfig());
+    expectSameResults(cellResults(adopt), want);
+    EXPECT_EQ(adopt.traces().stats().diskLoads, 1u);
+    EXPECT_EQ(adopt.traces().stats().corruptQuarantined, 0u);
+}
+
+TEST_F(TraceV3Crash, OutOfRangePcInV2CacheNeverReachesConsumers)
+{
+    // v2 records are checked as they are read: a resident adoption
+    // transcodes through the reader and quarantines; an on-disk trace
+    // (budget 0) fails the read, and the ladder regenerates the rest
+    // via the VM.
+    fs::create_directories(dir_);
+    Session clean;
+    CellResults want = cellResults(clean);
+
+    plantOutOfRangePc(cacheFile(), TraceFormat::V2);
+    {
+        Session session(cacheConfig());
+        expectSameResults(cellResults(session), want);
+        TraceRepoStats st = session.traces().stats();
+        EXPECT_EQ(st.corruptQuarantined, 1u);
+        EXPECT_EQ(st.regenerations, 1u);
+        EXPECT_TRUE(fs::exists(cacheFile() + ".bad"));
+    }
+
+    plantOutOfRangePc(cacheFile(), TraceFormat::V2);
+    Session on_disk(cacheConfig(0));
+    expectSameResults(cellResults(on_disk), want);
+    TraceRepoStats st = on_disk.traces().stats();
+    EXPECT_EQ(st.vmRuns, 0u);
+    EXPECT_GT(st.regenerations, 0u);
 }
 
 } // namespace

@@ -315,9 +315,10 @@ TEST_F(DaemonObservabilityTest, MetricsCommandServesBothFormats)
     const report::JsonValue *result = json.response.get("result");
     ASSERT_TRUE(result);
     ASSERT_TRUE(result->get("telemetry_enabled"));
-    if (telemetry::kEnabled)
+    if (telemetry::kEnabled) {
         EXPECT_TRUE(result->get("metrics") &&
                     result->get("metrics")->get("counters"));
+    }
 
     req.id = 2;
     req.format = "prometheus";
@@ -327,10 +328,11 @@ TEST_F(DaemonObservabilityTest, MetricsCommandServesBothFormats)
         prom.response.get("result")->stringOr("text", "");
     ASSERT_FALSE(text.empty());
     EXPECT_EQ(text[0], '#') << "exposition must open with a comment";
-    if (telemetry::kEnabled)
+    if (telemetry::kEnabled) {
         EXPECT_NE(text.find("vpprof_daemon_requests_total"),
                   std::string::npos)
             << text;
+    }
 }
 
 #if VPPROF_TELEMETRY_ENABLED

@@ -393,9 +393,10 @@ TEST_F(DaemonServerTest, SigtermStyleShutdownFlushesTelemetry)
     // With telemetry compiled out the registry is a no-op, so the
     // flushed snapshot is legitimately empty — the drain contract is
     // only that the file gets written.
-    if (telemetry::kEnabled)
+    if (telemetry::kEnabled) {
         EXPECT_NE(content.str().find("daemon.connections"),
                   std::string::npos);
+    }
     fs::remove(metrics_path);
 }
 

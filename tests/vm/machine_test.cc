@@ -41,11 +41,25 @@ runAlu(Opcode op, int64_t a, int64_t b2)
     return m.reg(R(3));
 }
 
+/**
+ * gtest names each case after a byte dump of its parameter, so the
+ * bytes between `op` and `a` are an explicit zeroed member: as
+ * implicit padding they held stack garbage and the test names changed
+ * from one process to the next.
+ */
 struct AluCase
 {
+    AluCase(Opcode op_, int64_t a_, int64_t b_, int64_t expected_)
+        : op(op_), a(a_), b(b_), expected(expected_)
+    {
+    }
+
     Opcode op;
+    uint8_t pad[7] = {};
     int64_t a, b, expected;
 };
+static_assert(sizeof(Opcode) == 1 && sizeof(AluCase) == 32,
+              "AluCase must have no implicit padding");
 
 class AluSemantics : public ::testing::TestWithParam<AluCase>
 {
