@@ -4,19 +4,25 @@
  * factored out of the experiment free functions into reusable
  * TraceSinks so the same code runs attached directly to a Machine
  * (one-shot evaluation) or replayed from a Session's cached trace
- * (trace-once, evaluate-many). Several evaluators can share one pass
- * over a trace via MultiTraceSink.
+ * (trace-once, evaluate-many). Several evaluators share one decode
+ * pass through an EvaluatorBank, which also shares their per-record
+ * work (core/batch_replay.hh).
  *
  * Re-entrancy contract: every evaluator owns its predictor tables and
  * counters; nothing here touches global state, so concurrent
  * evaluations are safe as long as each thread drives its own evaluator
  * instances (and its own Classifier — classifiers hold run-time
- * counters too).
+ * counters too). A copied ClassificationEvaluator shares its stride
+ * history copy-on-write with the original, so drive both from one
+ * thread.
  */
 
 #ifndef VPPROF_CORE_EVALUATORS_HH
 #define VPPROF_CORE_EVALUATORS_HH
 
+#include <memory>
+
+#include "core/batch_replay.hh"
 #include "core/experiment.hh"
 #include "predictors/hybrid_predictor.hh"
 #include "predictors/stride_predictor.hh"
@@ -59,11 +65,44 @@ class DirectiveOverrideSink : public TraceSink
 };
 
 /**
+ * Whose directives a tagged-only evaluator has stepped. Skipping the
+ * untagged records is exact only while every record stepped so far
+ * carried one annotation's directives: then an untagged pc was never
+ * allocated, and its probe is a miss with no side effects.
+ */
+class DirectiveHistory
+{
+  public:
+    /** May the next block step only the producers `annotation` tags?
+     *  Binds the history to it when so. */
+    bool
+    claim(const Program *annotation)
+    {
+        if (mixed_ || (source_ != nullptr && source_ != annotation))
+            return false;
+        source_ = annotation;
+        return true;
+    }
+
+    /** Every record of some other stream was stepped. */
+    void mix() { mixed_ = true; }
+
+  private:
+    const Program *source_ = nullptr;
+    bool mixed_ = false;
+};
+
+/**
  * The classification-accuracy loop of Subsection 5.1: an infinite
  * stride predictor attempts every value-producing instruction; the
  * classifier rules each attempt in or out.
+ *
+ * The predictor never reads a directive, so in an EvaluatorBank every
+ * classification slot with the same history reads one shared outcome
+ * column; a directive-only classifier under an annotation folds per-pc
+ * tallies instead of visiting records.
  */
-class ClassificationEvaluator : public TraceSink, public TraceBlockSink
+class ClassificationEvaluator : public TraceSink, public SharedBlockSink
 {
   public:
     /** @param classifier Ruled-in/out decisions; held by reference. */
@@ -74,13 +113,35 @@ class ClassificationEvaluator : public TraceSink, public TraceBlockSink
     /** Column-batch path; bit-identical to record-at-a-time replay. */
     void consumeBlock(const TraceBlockView &block) override;
 
+    BankShare bankShare() override;
+    void consumeShared(const SharedBlock &shared) override;
+
     const ClassificationAccuracy &result() const { return acc_; }
 
   private:
-    void step(uint64_t pc, int64_t value, Directive directive);
+    /** The history, copied first if a bank slot shares it. */
+    StridePredictor &ownPredictor();
+
+    /** One hit: the classifier's verdict, the counts, its training. */
+    void
+    count(uint64_t pc, bool correct, Directive directive)
+    {
+        bool take = classifier_.shouldPredict(pc, directive);
+        if (correct) {
+            ++acc_.corrects;
+            if (take)
+                ++acc_.correctsAccepted;
+        } else {
+            ++acc_.mispredictions;
+            if (!take)
+                ++acc_.mispredictionsCaught;
+        }
+        classifier_.train(pc, correct);
+    }
 
     Classifier &classifier_;
-    StridePredictor predictor_;
+    /** Copy-on-write: bank slots with the same history share it. */
+    std::shared_ptr<StridePredictor> predictor_;
     ClassificationAccuracy acc_;
 };
 
@@ -88,8 +149,10 @@ class ClassificationEvaluator : public TraceSink, public TraceBlockSink
  * The finite-table loop of Subsection 5.2: a finite stride predictor
  * driven either by per-entry saturating counters (VpPolicy::Fsm) or by
  * opcode directives with allocate-tagged-only (VpPolicy::Profile).
+ * Under an annotation in an EvaluatorBank, the Profile policy steps
+ * only the tagged producers.
  */
-class FiniteTableEvaluator : public TraceSink, public TraceBlockSink
+class FiniteTableEvaluator : public TraceSink, public SharedBlockSink
 {
   public:
     FiniteTableEvaluator(VpPolicy policy, const PredictorConfig &config);
@@ -98,6 +161,9 @@ class FiniteTableEvaluator : public TraceSink, public TraceBlockSink
 
     /** Column-batch path; bit-identical to record-at-a-time replay. */
     void consumeBlock(const TraceBlockView &block) override;
+
+    BankShare bankShare() override;
+    void consumeShared(const SharedBlock &shared) override;
 
     /** Stats so far (evictions included). */
     FiniteTableStats result() const;
@@ -108,13 +174,16 @@ class FiniteTableEvaluator : public TraceSink, public TraceBlockSink
     VpPolicy policy_;
     StridePredictor predictor_;
     FiniteTableStats stats_;
+    DirectiveHistory history_;
 };
 
 /**
  * The hybrid two-table loop (Section 3.2's proposal): stride plus
  * last-value sub-tables, steered and allocated purely by directives.
+ * Under an annotation in an EvaluatorBank it steps only the tagged
+ * producers.
  */
-class HybridTableEvaluator : public TraceSink, public TraceBlockSink
+class HybridTableEvaluator : public TraceSink, public SharedBlockSink
 {
   public:
     explicit HybridTableEvaluator(const HybridConfig &config);
@@ -124,6 +193,9 @@ class HybridTableEvaluator : public TraceSink, public TraceBlockSink
     /** Column-batch path; bit-identical to record-at-a-time replay. */
     void consumeBlock(const TraceBlockView &block) override;
 
+    BankShare bankShare() override;
+    void consumeShared(const SharedBlock &shared) override;
+
     FiniteTableStats result() const;
 
   private:
@@ -131,6 +203,7 @@ class HybridTableEvaluator : public TraceSink, public TraceBlockSink
 
     HybridPredictor predictor_;
     FiniteTableStats stats_;
+    DirectiveHistory history_;
 };
 
 } // namespace vpprof

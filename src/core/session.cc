@@ -51,6 +51,10 @@ struct TraceRepository::Entry
      * fall back to the VM, so the next attempt re-verifies in full.
      */
     std::atomic<bool> fileVerified{false};
+
+    /** Bumped (under produceMutex) each time a replay quarantines and
+     *  re-captures `path`. */
+    std::atomic<uint64_t> fileGeneration{0};
 };
 
 namespace
@@ -404,6 +408,9 @@ TraceRepository::replayFromDisk(Entry &entry, const Workload &workload,
                delivered == reader.recordCount();
     };
 
+    uint64_t generation =
+        entry.fileGeneration.load(std::memory_order_acquire);
+
     // A file already proved this process (adopted, self-written, or
     // fully verified by an earlier replay) opens HeaderOnly; anything
     // else pays the Full checksum pass exactly once.
@@ -434,6 +441,8 @@ TraceRepository::replayFromDisk(Entry &entry, const Workload &workload,
                                           TraceVerify::Full, pcLimit);
     if (retry && retry->skip(delivered) && stream(*retry))
         return;
+    if (retry)
+        status = retry->status();
     entry.fileVerified.store(false, std::memory_order_release);
 
     // ...then regenerate via the VM. Interpretation is deterministic,
@@ -444,13 +453,36 @@ TraceRepository::replayFromDisk(Entry &entry, const Workload &workload,
                         " is unreadable; regenerating the replay "
                         "via the VM");
     VPPROF_TIMED_SPAN("trace.regenerate");
+
+    // A file that fails its Full re-verification is sick, not busy:
+    // quarantine it the way adoption does and re-capture it from this
+    // run, or every later replay pays two opens and a VM run again. A
+    // file that cannot be opened at all (IoError) is left alone, and a
+    // replay that failed before another one re-captured the file only
+    // regenerates.
+    std::lock_guard<std::mutex> lock(entry.produceMutex);
+    bool recapture =
+        status != TraceIoStatus::IoError &&
+        entry.fileGeneration.load(std::memory_order_relaxed) == generation;
+    ColumnarTraceBuilder builder;
     uint64_t seen = 0;
     CallbackTraceSink skipper([&](const TraceRecord &rec) {
+        if (recapture)
+            builder.record(rec);
         if (seen++ >= delivered)
             sink->record(rec);
     });
     runProgram(workload.program(), workload.input(input_idx), &skipper,
                workload.maxInstructions());
+    if (!recapture)
+        return;
+    std::optional<ScopedFileLock> cacheLock;
+    if (!entry.tempFile)
+        cacheLock.emplace(entry.path + ".lock");
+    quarantine(entry.path, status);
+    if (writeTraceFile(entry.path, builder.take()))
+        entry.fileVerified.store(true, std::memory_order_release);
+    entry.fileGeneration.fetch_add(1, std::memory_order_release);
 }
 
 RunResult

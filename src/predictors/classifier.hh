@@ -49,6 +49,13 @@ class Classifier
      */
     virtual void train(uint64_t pc, bool correct) = 0;
 
+    /**
+     * True when shouldPredict() depends only on the directive and
+     * train() does nothing. A replay whose directive is constant per
+     * pc may then ask once per pc instead of once per record.
+     */
+    virtual bool directiveOnly() const { return false; }
+
     /** Drop any run-time state. */
     virtual void reset() = 0;
 };

@@ -38,6 +38,19 @@ class PredictorTable
                                                             associativity);
     }
 
+    /** A deep copy: the entries and the replacement state. */
+    PredictorTable(const PredictorTable &other)
+        : finite_(other.finite_
+                      ? std::make_unique<AssocTable<Payload>>(*other.finite_)
+                      : nullptr),
+          dense_(other.dense_),
+          denseOccupancy_(other.denseOccupancy_)
+    {
+    }
+
+    PredictorTable(PredictorTable &&) = default;
+    PredictorTable &operator=(PredictorTable &&) = default;
+
     /** Find an existing entry or nullptr. */
     Payload *
     lookup(uint64_t pc)

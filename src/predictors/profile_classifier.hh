@@ -41,6 +41,8 @@ class ProfileClassifier : public Classifier
     /** No run-time training: the profile already decided. */
     void train(uint64_t, bool) override {}
 
+    bool directiveOnly() const override { return true; }
+
     void reset() override {}
 };
 

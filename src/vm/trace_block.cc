@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/checksum.hh"
 #include "common/logging.hh"
 
 namespace vpprof
@@ -28,18 +29,10 @@ constexpr size_t kOffFirstSeq = 8;
 constexpr size_t kOffFlags = 16;
 constexpr size_t kOffChecksum = 20;
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t
-fnv1a(uint64_t hash, const uint8_t *data, size_t size)
-{
-    for (size_t i = 0; i < size; ++i) {
-        hash ^= data[i];
-        hash *= kFnvPrime;
-    }
-    return hash;
-}
+// The block checksum's FNV-1a seed. It is one digit short of the
+// standard offset basis (kFnv1a64Seed), but every v3 file on disk was
+// written with it: it is part of the format, not a typo to fix.
+constexpr uint64_t kBlockChecksumSeed = 1469598103934665603ull;
 
 void
 putU32(uint8_t *out, uint32_t v)
@@ -370,8 +363,8 @@ TraceBlockEncoder::flush(std::vector<uint8_t> &out)
     putU32(header + kOffPayloadBytes, uint32_t(payloadBytes));
     putU64(header + kOffFirstSeq, firstSeq_);
     putU32(header + kOffFlags, flags);
-    uint64_t sum = fnv1a(kFnvOffset, header, kOffChecksum);
-    sum = fnv1a(sum, header + kTraceBlockHeaderBytes, payloadBytes);
+    uint64_t sum = fnv1a64(header, kOffChecksum, kBlockChecksumSeed);
+    sum = fnv1a64(header + kTraceBlockHeaderBytes, payloadBytes, sum);
     putU64(header + kOffChecksum, sum);
 
     count_ = 0;
@@ -391,8 +384,8 @@ probeTraceBlock(const uint8_t *data, size_t size, size_t *consumed,
     if (payloadBytes > size - kTraceBlockHeaderBytes)
         return TraceBlockStatus::Truncated;
     if (verifyChecksum) {
-        uint64_t sum = fnv1a(kFnvOffset, data, kOffChecksum);
-        sum = fnv1a(sum, data + kTraceBlockHeaderBytes, payloadBytes);
+        uint64_t sum = fnv1a64(data, kOffChecksum, kBlockChecksumSeed);
+        sum = fnv1a64(data + kTraceBlockHeaderBytes, payloadBytes, sum);
         if (sum != getU64(data + kOffChecksum))
             return TraceBlockStatus::ChecksumMismatch;
     }

@@ -8,11 +8,17 @@
  * record (predict, then update), as the loops originally did. The
  * finite tables' eviction counts pin LRU equivalence: a single touch
  * per record orders the ways exactly like the two touches it replaced.
+ * EvaluatorBank slots that share per-block work (one stride pass,
+ * per-pc tallies, tagged-only stepping) must equal the same evaluators
+ * replayed alone.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <deque>
 #include <map>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -240,10 +246,13 @@ class RefHybrid
  * probe of a tracked pc is exercised; an eighth of the records write
  * no register.
  */
+/** Distinct pcs in a makeStream() stream. */
+constexpr uint64_t kStreamPcs = 48;
+
 std::vector<TraceRecord>
 makeStream(uint64_t seed, size_t n)
 {
-    constexpr uint64_t kPcs = 48;
+    constexpr uint64_t kPcs = kStreamPcs;
     Rng rng(seed);
     std::vector<int64_t> value(kPcs), step(kPcs);
     std::vector<int> pattern(kPcs);
@@ -581,6 +590,388 @@ TEST(ReplayOracle, HybridTableEvaluatorMatchesReference)
     HybridTableEvaluator by_block(smallHybrid());
     feedBlocks(stream, &by_block);
     expectSame(by_block.result(), want);
+}
+
+// ---------------------------------------------------------------------
+// EvaluatorBank sharing against the same evaluators replayed alone.
+
+/**
+ * An annotation of the stream's pcs: each tagged (stride or
+ * last-value, evenly) with probability `tag_percent`.
+ */
+Program
+annotationProgram(uint64_t seed, uint64_t tag_percent)
+{
+    Rng rng(seed);
+    Program program("oracle." + std::to_string(seed));
+    for (uint64_t pc = 0; pc < kStreamPcs; ++pc) {
+        Instruction inst;
+        inst.op = Opcode::Add;
+        if (rng.nextBelow(100) < tag_percent)
+            inst.directive = rng.nextBelow(2) == 0 ? Directive::Stride
+                                                   : Directive::LastValue;
+        program.append(inst);
+    }
+    return program;
+}
+
+/** The stream as a slot annotated with `program` sees it. */
+std::vector<TraceRecord>
+annotate(std::vector<TraceRecord> stream, const Program *program)
+{
+    if (program != nullptr)
+        for (TraceRecord &rec : stream)
+            rec.directive = program->at(rec.pc).directive;
+    return stream;
+}
+
+std::vector<TraceRecord>
+concat(std::initializer_list<std::vector<TraceRecord>> parts)
+{
+    std::vector<TraceRecord> out;
+    for (const auto &part : parts)
+        out.insert(out.end(), part.begin(), part.end());
+    return out;
+}
+
+void
+append(std::vector<uint64_t> &out, const ClassificationAccuracy &acc)
+{
+    out.insert(out.end(), {acc.corrects, acc.correctsAccepted,
+                           acc.mispredictions, acc.mispredictionsCaught});
+}
+
+void
+append(std::vector<uint64_t> &out, const FiniteTableStats &stats)
+{
+    out.insert(out.end(), {stats.producers, stats.candidates,
+                           stats.correctTaken, stats.incorrectTaken,
+                           stats.evictions});
+}
+
+/**
+ * The sweep's 17 evaluators: classification and finite tables as FSM
+ * (under `base`) plus one profile instance per annotation, and one
+ * hybrid table per annotation. Slots are listed in bank order.
+ */
+class SweepEvaluators
+{
+  public:
+    SweepEvaluators(const Program &base,
+                    const std::vector<Program> &annotated)
+    {
+        cls_.emplace_back(fsm_);
+        slots_.push_back({&cls_.back(), &base});
+        for (size_t t = 0; t < annotated.size(); ++t) {
+            cls_.emplace_back(profile_[t]);
+            slots_.push_back({&cls_.back(), &annotated[t]});
+        }
+        finite_.emplace_back(VpPolicy::Fsm, finiteConfig(2));
+        slots_.push_back({&finite_.back(), &base});
+        for (const Program &program : annotated) {
+            finite_.emplace_back(VpPolicy::Profile, finiteConfig(0));
+            slots_.push_back({&finite_.back(), &program});
+        }
+        for (const Program &program : annotated) {
+            hybrid_.emplace_back(smallHybrid());
+            slots_.push_back({&hybrid_.back(), &program});
+        }
+    }
+
+    SweepEvaluators(const SweepEvaluators &) = delete;
+    SweepEvaluators &operator=(const SweepEvaluators &) = delete;
+
+    void
+    addTo(EvaluatorBank &bank)
+    {
+        for (const Slot &slot : slots_)
+            bank.addBlockSink(slot.sink, slot.annotation);
+    }
+
+    /** Each evaluator's own consumeBlock over its annotated stream. */
+    void
+    replayAlone(const std::vector<TraceRecord> &stream)
+    {
+        for (const Slot &slot : slots_) {
+            TraceBlockSink *alone = slot.sink;
+            feedBlocks(annotate(stream, slot.annotation), alone);
+        }
+    }
+
+    std::vector<uint64_t>
+    results() const
+    {
+        std::vector<uint64_t> out;
+        for (const auto &e : cls_)
+            append(out, e.result());
+        for (const auto &e : finite_)
+            append(out, e.result());
+        for (const auto &e : hybrid_)
+            append(out, e.result());
+        out.push_back(fsm_.trackedInstructions());
+        return out;
+    }
+
+  private:
+    struct Slot
+    {
+        SharedBlockSink *sink;
+        const Program *annotation;
+    };
+
+    SaturatingClassifier fsm_;
+    std::array<ProfileClassifier, 5> profile_;
+    std::deque<ClassificationEvaluator> cls_;
+    std::deque<FiniteTableEvaluator> finite_;
+    std::deque<HybridTableEvaluator> hybrid_;
+    std::vector<Slot> slots_;
+};
+
+/** The five annotations, from sparse to dense, like the sweep's
+ *  thresholds. */
+std::vector<Program>
+sweepAnnotations(uint64_t seed)
+{
+    std::vector<Program> out;
+    for (uint64_t t = 0; t < 5; ++t)
+        out.push_back(annotationProgram(seed + t, 20 + 15 * t));
+    return out;
+}
+
+/** Forwards blocks and nothing else, like a timing wrapper. */
+class ForwardingSink : public TraceBlockSink
+{
+  public:
+    explicit ForwardingSink(TraceBlockSink *inner) : inner_(inner) {}
+
+    void
+    consumeBlock(const TraceBlockView &block) override
+    {
+        inner_->consumeBlock(block);
+    }
+
+  private:
+    TraceBlockSink *inner_;
+};
+
+TEST(ReplayOracle, SweepBankMatchesSoloReplays)
+{
+    std::vector<TraceRecord> stream = makeStream(81, 30000);
+    Program base = annotationProgram(80, 0);
+    std::vector<Program> annotated = sweepAnnotations(82);
+
+    SweepEvaluators solo(base, annotated);
+    solo.replayAlone(stream);
+    std::vector<uint64_t> want = solo.results();
+
+    SweepEvaluators banked(base, annotated);
+    EvaluatorBank bank;
+    banked.addTo(bank);
+    EXPECT_EQ(bank.size(), 17u);
+    feedBlocks(stream, &bank);
+    EXPECT_EQ(banked.results(), want);
+}
+
+TEST(ReplayOracle, SweepBankReplayedTwiceMatchesSoloReplays)
+{
+    std::vector<TraceRecord> first = makeStream(91, 20000);
+    std::vector<TraceRecord> second = makeStream(92, 12000);
+    Program base = annotationProgram(90, 0);
+    std::vector<Program> annotated = sweepAnnotations(93);
+
+    SweepEvaluators solo(base, annotated);
+    solo.replayAlone(first);
+    solo.replayAlone(second);
+
+    SweepEvaluators banked(base, annotated);
+    EvaluatorBank bank;
+    banked.addTo(bank);
+    feedBlocks(first, &bank);
+    feedBlocks(second, &bank);
+    EXPECT_EQ(banked.results(), solo.results());
+}
+
+TEST(ReplayOracle, NestedSweepBankMatchesSoloReplays)
+{
+    std::vector<TraceRecord> stream = makeStream(101, 30000);
+    Program base = annotationProgram(100, 0);
+    std::vector<Program> annotated = sweepAnnotations(102);
+
+    SweepEvaluators solo(base, annotated);
+    solo.replayAlone(stream);
+
+    // The inner bank sees blocks only through a wrapper that forwards
+    // consumeBlock and nothing else.
+    SweepEvaluators banked(base, annotated);
+    EvaluatorBank inner;
+    banked.addTo(inner);
+    ForwardingSink forward(&inner);
+    EvaluatorBank outer;
+    outer.addBlockSink(&forward);
+    feedBlocks(stream, &outer);
+    EXPECT_EQ(banked.results(), solo.results());
+}
+
+TEST(ReplayOracle, UnannotatedSlotsKeepTheGeneralLoop)
+{
+    // makeStream overrides a tenth of each pc's records with another
+    // directive, so the trace's own directives are not constant per
+    // pc: per-pc tallies and tagged-only stepping would be wrong.
+    std::vector<TraceRecord> stream = makeStream(111, 30000);
+    Program annotation = annotationProgram(112, 60);
+    size_t tracked = 0;
+
+    ProfileClassifier raw_directives, annotated_directives;
+    ClassificationEvaluator raw_cls(raw_directives);
+    ClassificationEvaluator annotated_cls(annotated_directives);
+    FiniteTableEvaluator raw_finite(VpPolicy::Profile, finiteConfig(0));
+    HybridTableEvaluator raw_hybrid(smallHybrid());
+    EvaluatorBank bank;
+    bank.addBlockSink(&raw_cls);
+    bank.addBlockSink(&annotated_cls, &annotation);
+    bank.addBlockSink(&raw_finite);
+    bank.addBlockSink(&raw_hybrid);
+    feedBlocks(stream, &bank);
+
+    expectSame(raw_cls.result(), refClassification(stream, false, &tracked));
+    expectSame(annotated_cls.result(),
+               refClassification(annotate(stream, &annotation), false,
+                                 &tracked));
+    expectSame(raw_finite.result(),
+               refFiniteTable(stream, VpPolicy::Profile, finiteConfig(0)));
+    expectSame(raw_hybrid.result(), refHybridTable(stream, smallHybrid()));
+}
+
+TEST(ReplayOracle, EvaluatorsMoveBetweenBanksAndSoloReplays)
+{
+    std::vector<TraceRecord> a = makeStream(121, 12000);
+    std::vector<TraceRecord> b = makeStream(122, 9000);
+    std::vector<TraceRecord> c = makeStream(123, 12000);
+    std::vector<TraceRecord> d = makeStream(124, 9000);
+    Program p1 = annotationProgram(125, 40);
+    Program p2 = annotationProgram(126, 70);
+
+    ProfileClassifier directives;
+    SaturatingClassifier counters;
+    ClassificationEvaluator profile_cls(directives);
+    ClassificationEvaluator fsm_cls(counters);
+    FiniteTableEvaluator finite(VpPolicy::Profile, finiteConfig(0));
+    HybridTableEvaluator hybrid(smallHybrid());
+    auto addAll = [&](EvaluatorBank &bank, const Program *annotation) {
+        bank.addBlockSink(&profile_cls, annotation);
+        bank.addBlockSink(&fsm_cls, annotation);
+        bank.addBlockSink(&finite, annotation);
+        bank.addBlockSink(&hybrid, annotation);
+    };
+    auto alone = [&](const std::vector<TraceRecord> &stream) {
+        for (TraceBlockSink *sink :
+             std::initializer_list<TraceBlockSink *>{
+                 &profile_cls, &fsm_cls, &finite, &hybrid})
+            feedBlocks(stream, sink);
+    };
+
+    // Bank A (under p1) shares one stride pass between the two
+    // classification slots; then raw solo replays; then bank B under
+    // another annotation; then bank A again, which must notice that
+    // its shared history and tagged-only premise no longer hold.
+    EvaluatorBank bank_a;
+    addAll(bank_a, &p1);
+    feedBlocks(a, &bank_a);
+    alone(b);
+    EvaluatorBank bank_b;
+    addAll(bank_b, &p2);
+    feedBlocks(c, &bank_b);
+    feedBlocks(d, &bank_a);
+
+    std::vector<TraceRecord> seen = concat(
+        {annotate(a, &p1), b, annotate(c, &p2), annotate(d, &p1)});
+    size_t tracked = 0;
+    expectSame(profile_cls.result(),
+               refClassification(seen, false, &tracked));
+    expectSame(fsm_cls.result(), refClassification(seen, true, &tracked));
+    EXPECT_EQ(counters.trackedInstructions(), tracked);
+    expectSame(finite.result(),
+               refFiniteTable(seen, VpPolicy::Profile, finiteConfig(0)));
+    expectSame(hybrid.result(), refHybridTable(seen, smallHybrid()));
+}
+
+/** Feeds every block to an inner sink twice. */
+class TwiceSink : public TraceBlockSink
+{
+  public:
+    explicit TwiceSink(TraceBlockSink *inner) : inner_(inner) {}
+
+    void
+    consumeBlock(const TraceBlockView &block) override
+    {
+        inner_->consumeBlock(block);
+        inner_->consumeBlock(block);
+    }
+
+  private:
+    TraceBlockSink *inner_;
+};
+
+TEST(ReplayOracle, CopiedAndTwiceRegisteredEvaluatorsStayExact)
+{
+    std::vector<TraceRecord> a = makeStream(131, 12000);
+    std::vector<TraceRecord> b = makeStream(132, 9000);
+    std::vector<TraceRecord> c = makeStream(133, 9000);
+    Program p = annotationProgram(134, 50);
+    size_t tracked = 0;
+
+    // A copy shares the original's stride history until either one
+    // steps on its own.
+    ProfileClassifier directives;
+    ClassificationEvaluator original(directives);
+    EvaluatorBank bank;
+    bank.addBlockSink(&original, &p);
+    feedBlocks(a, &bank);
+    ClassificationEvaluator copy = original;
+    feedBlocks(b, &copy);
+    // A fresh evaluator joining a bank that already replayed starts
+    // from an empty history of its own.
+    ClassificationEvaluator late(directives);
+    bank.addBlockSink(&late, &p);
+    feedBlocks(c, &bank);
+    expectSame(copy.result(),
+               refClassification(concat({annotate(a, &p), b}), false,
+                                 &tracked));
+    expectSame(original.result(),
+               refClassification(concat({annotate(a, &p),
+                                         annotate(c, &p)}),
+                                 false, &tracked));
+    expectSame(late.result(),
+               refClassification(annotate(c, &p), false, &tracked));
+
+    // One evaluator in two slots of one bank steps twice per block,
+    // exactly like a solo evaluator fed every block twice.
+    SaturatingClassifier twice_counters, solo_counters;
+    ClassificationEvaluator twice_cls(twice_counters);
+    ClassificationEvaluator solo_cls(solo_counters);
+    FiniteTableEvaluator twice_finite(VpPolicy::Profile, finiteConfig(0));
+    FiniteTableEvaluator solo_finite(VpPolicy::Profile, finiteConfig(0));
+    HybridTableEvaluator twice_hybrid(smallHybrid());
+    HybridTableEvaluator solo_hybrid(smallHybrid());
+    EvaluatorBank twice;
+    for (int k = 0; k < 2; ++k) {
+        twice.addBlockSink(&twice_cls, &p);
+        twice.addBlockSink(&twice_finite, &p);
+        twice.addBlockSink(&twice_hybrid, &p);
+    }
+    feedBlocks(a, &twice);
+    std::vector<TraceRecord> seen = annotate(a, &p);
+    TwiceSink solo_cls_twice(&solo_cls);
+    TwiceSink solo_finite_twice(&solo_finite);
+    TwiceSink solo_hybrid_twice(&solo_hybrid);
+    feedBlocks(seen, &solo_cls_twice);
+    feedBlocks(seen, &solo_finite_twice);
+    feedBlocks(seen, &solo_hybrid_twice);
+    expectSame(twice_cls.result(), solo_cls.result());
+    EXPECT_EQ(twice_counters.trackedInstructions(),
+              solo_counters.trackedInstructions());
+    expectSame(twice_finite.result(), solo_finite.result());
+    expectSame(twice_hybrid.result(), solo_hybrid.result());
 }
 
 // ---------------------------------------------------------------------

@@ -151,7 +151,8 @@ TEST_F(TraceV3Crash, TornTailBlockRecoversThroughTheLadder)
     // file is torn mid-block underneath the session — the next replay
     // must climb the ladder (reopen fails with TruncatedFile, the
     // retry fails the same way, the VM regenerates) and still deliver
-    // a bit-identical stream.
+    // a bit-identical stream. The ladder quarantines the torn file and
+    // re-captures it from the regeneration.
     Session session(cacheConfig(0));
     ASSERT_EQ(replayDigest(session, li(), 0), referenceDigest());
     ASSERT_EQ(session.traces().stats().spilledTraces, 1u);
@@ -167,12 +168,19 @@ TEST_F(TraceV3Crash, TornTailBlockRecoversThroughTheLadder)
     EXPECT_EQ(st.regenerations, 1u);
     EXPECT_EQ(st.vmRuns, 1u)
         << "the regeneration does not count as a trace-producing run";
+    EXPECT_EQ(st.corruptQuarantined, 1u);
+    EXPECT_TRUE(fs::exists(cacheFile() + ".bad"));
 
-    // A FRESH session probing the torn file quarantines it instead.
+    // The next replay reads the re-captured file.
+    EXPECT_EQ(replayDigest(session, li(), 0), referenceDigest());
+    EXPECT_EQ(session.traces().stats().regenerations, 1u);
+
+    // A FRESH session adopts the re-captured file as healthy.
     Session probe(cacheConfig(0));
     EXPECT_EQ(replayDigest(probe, li(), 0), referenceDigest());
-    EXPECT_EQ(probe.traces().stats().corruptQuarantined, 1u);
-    EXPECT_TRUE(fs::exists(cacheFile() + ".bad"));
+    EXPECT_EQ(probe.traces().stats().corruptQuarantined, 0u);
+    EXPECT_EQ(probe.traces().stats().diskLoads, 1u);
+    EXPECT_EQ(probe.traces().stats().regenerations, 0u);
 }
 
 TEST_F(TraceV3Crash, V2CacheAdoptedByV3SessionUnderFaults)
@@ -302,8 +310,9 @@ TEST_F(TraceV3Crash, OutOfRangePcInV2CacheNeverReachesConsumers)
 {
     // v2 records are checked as they are read: a resident adoption
     // transcodes through the reader and quarantines; an on-disk trace
-    // (budget 0) fails the read, and the ladder regenerates the rest
-    // via the VM.
+    // (budget 0) fails the read and its Full re-read, so the ladder
+    // quarantines the file, regenerates the rest via the VM and
+    // re-captures the file from that run.
     fs::create_directories(dir_);
     Session clean;
     CellResults want = cellResults(clean);
@@ -319,11 +328,31 @@ TEST_F(TraceV3Crash, OutOfRangePcInV2CacheNeverReachesConsumers)
     }
 
     plantOutOfRangePc(cacheFile(), TraceFormat::V2);
+    fs::remove(cacheFile() + ".bad");
     Session on_disk(cacheConfig(0));
     expectSameResults(cellResults(on_disk), want);
     TraceRepoStats st = on_disk.traces().stats();
     EXPECT_EQ(st.vmRuns, 0u);
-    EXPECT_GT(st.regenerations, 0u);
+    EXPECT_EQ(st.corruptQuarantined, 1u);
+    EXPECT_EQ(st.regenerations, 1u);
+    EXPECT_TRUE(fs::exists(cacheFile() + ".bad"));
+
+    // Later replays read the re-captured file: no more regenerations.
+    for (int replay = 0; replay < 3; ++replay) {
+        EXPECT_EQ(replayDigest(on_disk, li(), 0), referenceDigest());
+    }
+    expectSameResults(cellResults(on_disk), want);
+    st = on_disk.traces().stats();
+    EXPECT_EQ(st.corruptQuarantined, 1u);
+    EXPECT_EQ(st.regenerations, 1u);
+    EXPECT_EQ(st.vmRuns, 0u);
+
+    // The re-captured file is healthy: a fresh session adopts it.
+    Session adopt(cacheConfig(0));
+    expectSameResults(cellResults(adopt), want);
+    EXPECT_EQ(adopt.traces().stats().diskLoads, 1u);
+    EXPECT_EQ(adopt.traces().stats().corruptQuarantined, 0u);
+    EXPECT_EQ(adopt.traces().stats().regenerations, 0u);
 }
 
 } // namespace
